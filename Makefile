@@ -129,8 +129,9 @@ simd-check:
 # Hot-path perf gate (DESIGN.md §12, §17): prints the GridRp::eval scalar
 # vs simd microbench, asserts the per-kernel integrand-eval budgets of the
 # canonical scenario, the backend-lane count equality and wall-clock
-# ordering (traced > native > simd on Two-Phase), and the SoA
-# deposit+gather/push pipeline speedup floor.
+# ordering (traced > native > simd on Two-Phase), and the ≥1.25× floor of
+# the fused particle pass (deposit from the beam, one-pass gather/kick/
+# drift) over the reference deposit_cic/gather_forces/kick/drift.
 perf-smoke:
 	cargo run --release -p beamdyn-bench --bin perf_smoke
 

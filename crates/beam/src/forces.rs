@@ -5,9 +5,8 @@
 //! central differences on the grid and gathered bilinearly at the particle
 //! position.
 
-use beamdyn_par::simd::F64x4;
 use beamdyn_par::ThreadPool;
-use beamdyn_pic::{GridGeometry, ParticleSoA};
+use beamdyn_pic::{CicStencil, GridGeometry};
 
 use crate::particle::Beam;
 use crate::push::Forces;
@@ -82,18 +81,10 @@ impl ScalarField {
         &self.values
     }
 
-    /// Bilinear sample at a physical point (clamped at the borders).
+    /// Bilinear (CIC) sample at a physical point (clamped at the borders).
     pub fn sample(&self, x: f64, y: f64) -> f64 {
-        let g = self.geometry;
-        let (fx, fy) = g.fractional(x, y);
-        let ix0 = (fx.floor() as isize).clamp(0, g.nx as isize - 2) as usize;
-        let iy0 = (fy.floor() as isize).clamp(0, g.ny as isize - 2) as usize;
-        let tx = (fx - ix0 as f64).clamp(0.0, 1.0);
-        let ty = (fy - iy0 as f64).clamp(0.0, 1.0);
-        (1.0 - tx) * (1.0 - ty) * self.get(ix0, iy0)
-            + tx * (1.0 - ty) * self.get(ix0 + 1, iy0)
-            + (1.0 - tx) * ty * self.get(ix0, iy0 + 1)
-            + tx * ty * self.get(ix0 + 1, iy0 + 1)
+        let stencil = CicStencil::new(self.geometry);
+        stencil.sample(&self.values, &stencil.patch(x, y))
     }
 
     /// Negative-gradient fields `(−∂Φ/∂x, −∂Φ/∂y)` by central differences
@@ -143,110 +134,4 @@ pub fn gather_forces(pool: &ThreadPool, potential: &ScalarField, beam: &Beam) ->
     pool.parallel_map(&beam.particles, |p| {
         (fx.sample(p.x, p.y), fy.sample(p.x, p.y))
     })
-}
-
-/// SIMD/SoA twin of [`gather_forces`]: the gradient fields land in the
-/// caller's pooled scratch, the bilinear sample arithmetic runs over 4-wide
-/// particle blocks, and the per-particle force components land in pooled
-/// output columns — zero allocation in the steady state.
-///
-/// Per-lane operations mirror [`ScalarField::sample`] exactly (hoisted
-/// `dx`/`dy` are the same values, no reciprocal substitution, the four
-/// corner terms fold left-to-right), so each particle's force is
-/// bit-identical to the scalar gather at any pool width.
-#[allow(clippy::too_many_arguments)]
-pub fn gather_forces_simd(
-    pool: &ThreadPool,
-    potential: &ScalarField,
-    particles: &ParticleSoA,
-    grad_x: &mut ScalarField,
-    grad_y: &mut ScalarField,
-    out_fx: &mut Vec<f64>,
-    out_fy: &mut Vec<f64>,
-) {
-    potential.neg_gradient_into(grad_x, grad_y);
-    let n = particles.len();
-    out_fx.clear();
-    out_fx.resize(n, 0.0);
-    out_fy.clear();
-    out_fy.resize(n, 0.0);
-    let px = crate::push::ColumnPtr::new(out_fx.as_mut_ptr());
-    let py = crate::push::ColumnPtr::new(out_fy.as_mut_ptr());
-    let (gx, gy) = (&*grad_x, &*grad_y);
-    pool.parallel_for_chunks(0..n, 1024, |range| {
-        let mut i = range.start;
-        while i + 4 <= range.end {
-            let fx4 = sample_block4(gx, &particles.x, &particles.y, i);
-            let fy4 = sample_block4(gy, &particles.x, &particles.y, i);
-            for l in 0..4 {
-                // SAFETY: chunks are disjoint; each slot written once.
-                unsafe {
-                    *px.get().add(i + l) = fx4[l];
-                    *py.get().add(i + l) = fy4[l];
-                }
-            }
-            i += 4;
-        }
-        for j in i..range.end {
-            let (x, y) = (particles.x[j], particles.y[j]);
-            // SAFETY: chunks are disjoint; each slot written once.
-            unsafe {
-                *px.get().add(j) = gx.sample(x, y);
-                *py.get().add(j) = gy.sample(x, y);
-            }
-        }
-    });
-}
-
-/// Bilinear-samples `field` at particles `i..i + 4` with the weight
-/// arithmetic vectorized; per-lane ops mirror [`ScalarField::sample`].
-#[inline]
-fn sample_block4(field: &ScalarField, xs: &[f64], ys: &[f64], i: usize) -> [f64; 4] {
-    let g = field.geometry;
-    let (dx, dy) = (g.dx(), g.dy());
-    let half = F64x4::splat(0.5);
-    let xv = F64x4::load(xs, i);
-    let yv = F64x4::load(ys, i);
-    let fxv = (xv - F64x4::splat(g.x_min)) / F64x4::splat(dx) - half;
-    let fyv = (yv - F64x4::splat(g.y_min)) / F64x4::splat(dy) - half;
-
-    let (fxa, fya) = (fxv.to_array(), fyv.to_array());
-    let mut ix0 = [0usize; 4];
-    let mut iy0 = [0usize; 4];
-    for l in 0..4 {
-        ix0[l] = (fxa[l].floor() as isize).clamp(0, g.nx as isize - 2) as usize;
-        iy0[l] = (fya[l].floor() as isize).clamp(0, g.ny as isize - 2) as usize;
-    }
-    let txv = (fxv - F64x4::new(ix0[0] as f64, ix0[1] as f64, ix0[2] as f64, ix0[3] as f64))
-        .clamp(0.0, 1.0);
-    let tyv = (fyv - F64x4::new(iy0[0] as f64, iy0[1] as f64, iy0[2] as f64, iy0[3] as f64))
-        .clamp(0.0, 1.0);
-    let one = F64x4::splat(1.0);
-    let (sxv, syv) = (one - txv, one - tyv);
-
-    // Per-lane patch base; the clamps above prove ix0 ≤ nx−2, iy0 ≤ ny−2,
-    // so all four corners of every lane's 2×2 patch index inside `values`.
-    let vals = &field.values;
-    let base = [
-        iy0[0] * g.nx + ix0[0],
-        iy0[1] * g.nx + ix0[1],
-        iy0[2] * g.nx + ix0[2],
-        iy0[3] * g.nx + ix0[3],
-    ];
-    let corner = |off: usize| {
-        // SAFETY: base[l] + off ≤ (ny−1)·nx + (nx−1) < nx·ny (see above).
-        unsafe {
-            F64x4::new(
-                *vals.get_unchecked(base[0] + off),
-                *vals.get_unchecked(base[1] + off),
-                *vals.get_unchecked(base[2] + off),
-                *vals.get_unchecked(base[3] + off),
-            )
-        }
-    };
-    let acc = sxv * syv * corner(0)
-        + txv * syv * corner(1)
-        + sxv * tyv * corner(g.nx)
-        + txv * tyv * corner(g.nx + 1);
-    acc.to_array()
 }

@@ -1,5 +1,7 @@
 //! Particle state and beam-level statistics.
 
+use beamdyn_pic::DepositSample;
+
 /// One macro-particle in the 2-D simulation plane: longitudinal coordinate
 /// `x` (the beam-frame `s` offset), transverse `y`, and velocities.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -15,6 +17,20 @@ pub struct Particle {
     pub vy: f64,
     /// Macro-particle charge weight.
     pub weight: f64,
+}
+
+/// A particle's deposit fields — what `pic`'s CIC deposit reads of it.
+impl From<&Particle> for DepositSample {
+    #[inline]
+    fn from(p: &Particle) -> Self {
+        Self {
+            x: p.x,
+            y: p.y,
+            weight: p.weight,
+            vx: p.vx,
+            vy: p.vy,
+        }
+    }
 }
 
 /// A bunch of macro-particles plus bookkeeping.
@@ -47,13 +63,20 @@ impl Beam {
     }
 
     /// Charge-weighted centroid `(x̄, ȳ)`.
+    ///
+    /// One pass over the particles. Each of the three sums folds in
+    /// particle order from `-0.0`, exactly as `Iterator::sum` does, so the
+    /// result is bit-identical to summing `q`, `Σw·x` and `Σw·y` separately.
     pub fn centroid(&self) -> (f64, f64) {
-        let q = self.total_charge();
+        let (mut q, mut sx, mut sy) = (-0.0, -0.0, -0.0);
+        for p in &self.particles {
+            q += p.weight;
+            sx += p.weight * p.x;
+            sy += p.weight * p.y;
+        }
         if q == 0.0 {
             return (0.0, 0.0);
         }
-        let sx: f64 = self.particles.iter().map(|p| p.weight * p.x).sum();
-        let sy: f64 = self.particles.iter().map(|p| p.weight * p.y).sum();
         (sx / q, sy / q)
     }
 

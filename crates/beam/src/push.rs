@@ -14,11 +14,13 @@
 //! The driver in `beamdyn-core` folds the trailing half-kick of one step into
 //! the leading half-kick of the next (one field solve per step, as usual in
 //! PIC codes). The convenience wrapper [`half_step`] performs the first two
-//! substeps.
+//! substeps, and [`gather_push`] is the driver's whole per-step particle
+//! update — force gather, kick and drift — in one pass.
 
-use beamdyn_par::simd::F64x4;
 use beamdyn_par::ThreadPool;
+use beamdyn_pic::CicStencil;
 
+use crate::forces::ScalarField;
 use crate::particle::Beam;
 
 /// Per-particle force samples, one per beam particle, in beam order.
@@ -27,13 +29,8 @@ pub type Forces = Vec<(f64, f64)>;
 /// Applies a velocity kick `v += F·dt` (use `dt/2` for a half kick).
 pub fn kick(pool: &ThreadPool, beam: &mut Beam, forces: &Forces, dt: f64) {
     assert_eq!(beam.len(), forces.len(), "one force sample per particle");
-    let n = beam.particles.len();
-    let ptr = ParticlesPtr(beam.particles.as_mut_ptr());
-    pool.parallel_for_chunks(0..n, 1024, |range| {
-        for i in range {
-            // SAFETY: chunks are disjoint; each particle touched once.
-            let p = unsafe { &mut *ptr.get().add(i) };
-            let (fx, fy) = forces[i];
+    pool.parallel_chunks_mut(&mut beam.particles, 1024, |start, particles| {
+        for (p, &(fx, fy)) in particles.iter_mut().zip(&forces[start..]) {
             p.vx += dt * fx;
             p.vy += dt * fy;
         }
@@ -42,12 +39,8 @@ pub fn kick(pool: &ThreadPool, beam: &mut Beam, forces: &Forces, dt: f64) {
 
 /// Advances positions `x += v·dt`.
 pub fn drift(pool: &ThreadPool, beam: &mut Beam, dt: f64) {
-    let n = beam.particles.len();
-    let ptr = ParticlesPtr(beam.particles.as_mut_ptr());
-    pool.parallel_for_chunks(0..n, 1024, |range| {
-        for i in range {
-            // SAFETY: chunks are disjoint; each particle touched once.
-            let p = unsafe { &mut *ptr.get().add(i) };
+    pool.parallel_chunks_mut(&mut beam.particles, 1024, |_, particles| {
+        for p in particles {
             p.x += dt * p.vx;
             p.y += dt * p.vy;
         }
@@ -62,130 +55,41 @@ pub fn half_step(pool: &ThreadPool, beam: &mut Beam, forces: &Forces, dt: f64) {
     drift(pool, beam, dt);
 }
 
-/// Fused SIMD/SoA step push: force scaling, velocity kick, position drift,
-/// and the AoS write-back in **one** parallel pass (one pool dispatch where
-/// the scalar path performs two plus a serial scaling loop and the caller a
-/// serial write-back).
+/// The fused per-step particle update: force gather, force scaling, kick
+/// and drift in **one** parallel pass over the beam, with no per-particle
+/// force buffer.
 ///
-/// Per particle the op sequence is exactly the scalar backend's:
-/// `f' = scale·f`, `v' = v + dt·f'`, `x' = x + dt·v'` — the drift reads the
-/// particle's *own* updated velocity, so fusing kick and drift changes no
-/// value. Results are bit-identical to [`kick`] + [`drift`] on pre-scaled
-/// forces, at any pool width.
-///
-/// Columns and `beam` are both updated (the SoA stays current for callers
-/// that keep using it; the beam is the system of record between steps).
-///
-/// # Panics
-/// Panics when the force columns or the beam disagree with the particle
-/// column length.
-pub fn push_step_simd(
+/// `grad_x`/`grad_y` are the negative-gradient fields of the potential
+/// ([`ScalarField::neg_gradient_into`]). Each particle computes its CIC
+/// patch once and samples both fields through it, then runs exactly the
+/// reference op sequence — `f' = f·scale`, `v' = v + dt·f'`,
+/// `x' = x + dt·v'` — so the result is bit-identical to
+/// [`gather_forces`](crate::forces::gather_forces), a scaling loop,
+/// [`kick`] and [`drift`], at any pool width (tests/determinism.rs).
+pub fn gather_push(
     pool: &ThreadPool,
-    particles: &mut beamdyn_pic::ParticleSoA,
-    fx: &[f64],
-    fy: &[f64],
+    beam: &mut Beam,
+    grad_x: &ScalarField,
+    grad_y: &ScalarField,
     force_scale: f64,
     dt: f64,
-    beam: &mut Beam,
 ) {
-    let n = particles.len();
-    assert_eq!(fx.len(), n, "one force sample per particle");
-    assert_eq!(fy.len(), n, "one force sample per particle");
-    assert_eq!(beam.len(), n, "beam/SoA length mismatch");
-    let px = ColumnPtr::new(particles.x.as_mut_ptr());
-    let py = ColumnPtr::new(particles.y.as_mut_ptr());
-    let pvx = ColumnPtr::new(particles.vx.as_mut_ptr());
-    let pvy = ColumnPtr::new(particles.vy.as_mut_ptr());
-    let pb = ParticlesPtr(beam.particles.as_mut_ptr());
-    pool.parallel_for_chunks(0..n, 1024, |range| {
-        let dtv = F64x4::splat(dt);
-        let sv = F64x4::splat(force_scale);
-        let mut i = range.start;
-        while i + 4 <= range.end {
-            // SAFETY: chunks are disjoint; each particle touched once.
-            unsafe {
-                let xs = std::slice::from_raw_parts_mut(px.get().add(i), 4);
-                let ys = std::slice::from_raw_parts_mut(py.get().add(i), 4);
-                let vxs = std::slice::from_raw_parts_mut(pvx.get().add(i), 4);
-                let vys = std::slice::from_raw_parts_mut(pvy.get().add(i), 4);
-                let fxv = sv * F64x4::load(fx, i);
-                let fyv = sv * F64x4::load(fy, i);
-                let vxv = F64x4::new(vxs[0], vxs[1], vxs[2], vxs[3]) + dtv * fxv;
-                let vyv = F64x4::new(vys[0], vys[1], vys[2], vys[3]) + dtv * fyv;
-                let xv = F64x4::new(xs[0], xs[1], xs[2], xs[3]) + dtv * vxv;
-                let yv = F64x4::new(ys[0], ys[1], ys[2], ys[3]) + dtv * vyv;
-                vxs.copy_from_slice(&vxv.to_array());
-                vys.copy_from_slice(&vyv.to_array());
-                xs.copy_from_slice(&xv.to_array());
-                ys.copy_from_slice(&yv.to_array());
-                for l in 0..4 {
-                    let p = &mut *pb.get().add(i + l);
-                    p.x = xs[l];
-                    p.y = ys[l];
-                    p.vx = vxs[l];
-                    p.vy = vys[l];
-                }
-            }
-            i += 4;
-        }
-        for j in i..range.end {
-            // SAFETY: chunks are disjoint; each particle touched once.
-            unsafe {
-                let vx = &mut *pvx.get().add(j);
-                let vy = &mut *pvy.get().add(j);
-                let x = &mut *px.get().add(j);
-                let y = &mut *py.get().add(j);
-                *vx += dt * (force_scale * fx[j]);
-                *vy += dt * (force_scale * fy[j]);
-                *x += dt * *vx;
-                *y += dt * *vy;
-                let p = &mut *pb.get().add(j);
-                p.x = *x;
-                p.y = *y;
-                p.vx = *vx;
-                p.vy = *vy;
-            }
+    assert_eq!(
+        grad_x.geometry(),
+        grad_y.geometry(),
+        "gradient fields must share one grid"
+    );
+    let stencil = CicStencil::new(grad_x.geometry());
+    let (gx, gy) = (grad_x.as_slice(), grad_y.as_slice());
+    pool.parallel_chunks_mut(&mut beam.particles, 1024, |_, particles| {
+        for p in particles {
+            let patch = stencil.patch(p.x, p.y);
+            let fx = stencil.sample(gx, &patch) * force_scale;
+            let fy = stencil.sample(gy, &patch) * force_scale;
+            p.vx += dt * fx;
+            p.vy += dt * fy;
+            p.x += dt * p.vx;
+            p.y += dt * p.vy;
         }
     });
 }
-
-/// Raw column pointer shared across pool workers; see [`ParticlesPtr`] for
-/// the aliasing contract (disjoint index ranges per worker).
-pub(crate) struct ColumnPtr(*mut f64);
-impl ColumnPtr {
-    pub(crate) fn new(p: *mut f64) -> Self {
-        Self(p)
-    }
-    /// Accessor (rather than field access) so closures capture the whole
-    /// `Sync` wrapper, not the bare raw pointer.
-    pub(crate) fn get(&self) -> *mut f64 {
-        self.0
-    }
-}
-impl Clone for ColumnPtr {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl Copy for ColumnPtr {}
-// SAFETY: disjoint index ranges per worker (see parallel_for_chunks usage).
-unsafe impl Send for ColumnPtr {}
-unsafe impl Sync for ColumnPtr {}
-
-struct ParticlesPtr(*mut crate::particle::Particle);
-impl ParticlesPtr {
-    /// Accessor (rather than field access) so closures capture the whole
-    /// `Sync` wrapper, not the bare raw pointer.
-    fn get(&self) -> *mut crate::particle::Particle {
-        self.0
-    }
-}
-impl Clone for ParticlesPtr {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl Copy for ParticlesPtr {}
-// SAFETY: disjoint index ranges per worker (see parallel_for_chunks usage).
-unsafe impl Send for ParticlesPtr {}
-unsafe impl Sync for ParticlesPtr {}

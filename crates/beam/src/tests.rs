@@ -40,6 +40,42 @@ fn bunch_sampling_matches_moments() {
     assert!((sy - 0.02).abs() < 1e-3, "σy {sy}");
 }
 
+/// The one-pass centroid equals three separate `Iterator::sum` folds bit
+/// for bit, including the all-negative-zero and empty edge cases.
+#[test]
+fn one_pass_centroid_matches_separate_sums() {
+    let mut beam = GaussianBunch {
+        chirp: 0.3,
+        ..GaussianBunch::centered(0.13, 0.07)
+    }
+    .sample(4097, 11);
+    beam.particles[5].weight = 0.0;
+    beam.particles[6].x = -0.0;
+    let negative_zero = Beam::new(vec![
+        Particle {
+            x: 1.0,
+            y: -2.0,
+            vx: 0.0,
+            vy: 0.0,
+            weight: -0.0,
+        };
+        3
+    ]);
+    for beam in [beam, negative_zero, Beam::new(Vec::new())] {
+        let q: f64 = beam.particles.iter().map(|p| p.weight).sum();
+        let want = if q == 0.0 {
+            (0.0, 0.0)
+        } else {
+            let sx: f64 = beam.particles.iter().map(|p| p.weight * p.x).sum();
+            let sy: f64 = beam.particles.iter().map(|p| p.weight * p.y).sum();
+            (sx / q, sy / q)
+        };
+        let have = beam.centroid();
+        assert_eq!(want.0.to_bits(), have.0.to_bits());
+        assert_eq!(want.1.to_bits(), have.1.to_bits());
+    }
+}
+
 #[test]
 fn bunch_sampling_is_deterministic() {
     let bunch = GaussianBunch::centered(0.1, 0.05);

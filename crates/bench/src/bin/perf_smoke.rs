@@ -18,15 +18,16 @@
 //!   the canonical Two-Phase run (min-of-two runs per backend to damp
 //!   scheduler noise; the margin is real but modest — the portable lanes
 //!   target the SSE2 baseline, see DESIGN.md §17);
-//! * the **SoA stage microbench**: the vectorized deposit + gather + push
-//!   pipeline must hold a ≥1.25× win over the scalar stage path on the
-//!   canonical particle load (measured 1.4–1.7× on the reference box).
+//! * the **fused particle-pass microbench**: the driver's deposit from the
+//!   beam and one-pass gather/kick/drift must hold a ≥1.25× win over the
+//!   reference composition — sample refill, `deposit_cic`, `gather_forces`,
+//!   `kick`, `drift` — on the canonical particle load.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
-use beamdyn_beam::forces::{gather_forces, gather_forces_simd, ScalarField};
-use beamdyn_beam::push::{drift, kick, push_step_simd};
+use beamdyn_beam::forces::{gather_forces, ScalarField};
+use beamdyn_beam::push::{drift, gather_push, kick};
 use beamdyn_beam::{GridRp, NullSink, RpConfig};
 use beamdyn_bench::regression::scenario;
 use beamdyn_bench::{kernel_name, run_steps, standard_workload};
@@ -34,8 +35,7 @@ use beamdyn_core::{BackendKind, KernelKind};
 use beamdyn_obs as obs;
 use beamdyn_par::ThreadPool;
 use beamdyn_pic::{
-    deposit_cic, deposit_cic_simd, DepositSample, GridGeometry, GridHistory, MomentGrid,
-    ParticleSoA,
+    deposit_cic, deposit_cic_from, DepositSample, GridGeometry, GridHistory, MomentGrid,
 };
 
 /// Maximum fraction of abscissae the fresh-eval path may account for on the
@@ -52,9 +52,9 @@ fn fresh_eval_budget(kernel: KernelKind) -> f64 {
     }
 }
 
-/// Minimum speedup the SoA deposit + gather + push pipeline must hold over
-/// the scalar stage path.
-const MIN_SOA_STAGE_SPEEDUP: f64 = 1.25;
+/// Minimum speedup the fused particle pass (deposit from the beam, one-pass
+/// gather/kick/drift) must hold over the reference stage composition.
+const MIN_FUSED_STAGE_SPEEDUP: f64 = 1.25;
 
 fn eval_microbench(pool: &ThreadPool) {
     let g = GridGeometry::unit(20, 20);
@@ -64,17 +64,7 @@ fn eval_microbench(pool: &ThreadPool) {
         ..beamdyn_beam::GaussianBunch::centered(0.12, 0.06)
     };
     let beam = bunch.sample(20_000, 17);
-    let samples: Vec<DepositSample> = beam
-        .particles
-        .iter()
-        .map(|p| DepositSample {
-            x: p.x,
-            y: p.y,
-            weight: p.weight,
-            vx: p.vx,
-            vy: p.vy,
-        })
-        .collect();
+    let samples: Vec<DepositSample> = beam.particles.iter().map(DepositSample::from).collect();
     let mut h = GridHistory::new(g, 8);
     for k in 0..6 {
         let mut grid = MomentGrid::zeros(g);
@@ -148,11 +138,12 @@ fn canonical_best_of_2(
     (a_ns.min(b_ns), a_e, a_r)
 }
 
-/// Gates the SoA deposit + gather + push pipeline against the scalar stage
-/// path on the canonical particle load. Both sides run the work the driver
-/// runs per step (sample refill / SoA refill included); min-of-two outer
-/// repetitions damps scheduler noise.
-fn soa_stage_microbench(pool: &ThreadPool) -> bool {
+/// Gates the fused particle pass against the reference stage composition
+/// on the canonical particle load. Both sides run a whole step's particle
+/// work (the reference refills its sample list and builds its gradient and
+/// force buffers every round, as the unfused composition must); min-of-two
+/// outer repetitions damps scheduler noise.
+fn fused_stage_microbench(pool: &ThreadPool) -> bool {
     let geometry = GridGeometry::unit(scenario::RESOLUTION, scenario::RESOLUTION);
     let bunch = beamdyn_beam::GaussianBunch {
         center_x: 0.5,
@@ -176,20 +167,14 @@ fn soa_stage_microbench(pool: &ThreadPool) -> bool {
     const ROUNDS: usize = 60;
     let dt = 1e-3;
 
-    let scalar_pass = || {
+    let reference_pass = || {
         let mut beam = beam0.clone();
         let mut samples: Vec<DepositSample> = Vec::new();
         let mut grid = MomentGrid::zeros(geometry);
         let t0 = Instant::now();
         for _ in 0..ROUNDS {
             samples.clear();
-            samples.extend(beam.particles.iter().map(|p| DepositSample {
-                x: p.x,
-                y: p.y,
-                weight: p.weight,
-                vx: p.vx,
-                vy: p.vy,
-            }));
+            samples.extend(beam.particles.iter().map(DepositSample::from));
             grid.reset();
             deposit_cic(pool, &mut grid, &samples);
             let forces = gather_forces(pool, &potential, &beam);
@@ -200,45 +185,40 @@ fn soa_stage_microbench(pool: &ThreadPool) -> bool {
         std::hint::black_box((&grid, &beam));
         ns
     };
-    let simd_pass = || {
+    let fused_pass = || {
         let mut beam = beam0.clone();
-        let mut soa = ParticleSoA::new();
+        let mut partials = Vec::new();
         let mut grid = MomentGrid::zeros(geometry);
         let (mut gx, mut gy) = (ScalarField::empty(), ScalarField::empty());
-        let (mut fx, mut fy) = (Vec::new(), Vec::new());
         let t0 = Instant::now();
         for _ in 0..ROUNDS {
-            soa.refill(beam.particles.iter().map(|p| DepositSample {
-                x: p.x,
-                y: p.y,
-                weight: p.weight,
-                vx: p.vx,
-                vy: p.vy,
-            }));
             grid.reset();
-            deposit_cic_simd(pool, &mut grid, &soa);
-            gather_forces_simd(pool, &potential, &soa, &mut gx, &mut gy, &mut fx, &mut fy);
-            push_step_simd(pool, &mut soa, &fx, &fy, 1.0, dt, &mut beam);
+            deposit_cic_from(pool, &mut grid, &mut partials, &beam.particles, |p| {
+                DepositSample::from(p)
+            });
+            potential.neg_gradient_into(&mut gx, &mut gy);
+            gather_push(pool, &mut beam, &gx, &gy, 1.0, dt);
         }
         let ns = t0.elapsed().as_nanos() as f64;
         std::hint::black_box((&grid, &beam));
         ns
     };
 
-    let scalar_ns = scalar_pass().min(scalar_pass());
-    let simd_ns = simd_pass().min(simd_pass());
-    let speedup = scalar_ns / simd_ns.max(1.0);
+    let reference_ns = reference_pass().min(reference_pass());
+    let fused_ns = fused_pass().min(fused_pass());
+    let speedup = reference_ns / fused_ns.max(1.0);
     println!(
-        "SoA stage microbench: scalar {:.1} ms vs simd {:.1} ms -> {speedup:.2}x \
+        "fused particle-pass microbench: reference {:.1} ms vs fused {:.1} ms -> {speedup:.2}x \
          ({ROUNDS} rounds x {} particles)",
-        scalar_ns / 1e6,
-        simd_ns / 1e6,
+        reference_ns / 1e6,
+        fused_ns / 1e6,
         scenario::PARTICLES,
     );
-    if speedup < MIN_SOA_STAGE_SPEEDUP {
+    if speedup < MIN_FUSED_STAGE_SPEEDUP {
         eprintln!(
-            "SoA deposit+gather/push pipeline speedup {speedup:.2}x is below the \
-             {MIN_SOA_STAGE_SPEEDUP}x floor — the vectorized stage path has regressed"
+            "fused deposit+gather/push pass speedup {speedup:.2}x over the reference \
+             composition is below the {MIN_FUSED_STAGE_SPEEDUP}x floor — the fused \
+             particle path has regressed"
         );
         return false;
     }
@@ -345,7 +325,7 @@ fn main() -> ExitCode {
         }
     }
 
-    if !soa_stage_microbench(&pool) {
+    if !fused_stage_microbench(&pool) {
         ok = false;
     }
 

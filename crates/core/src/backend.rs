@@ -17,15 +17,16 @@
 //!   pooled [`LaneScratchArena`] are all shared with the traced path, so
 //!   the potentials are **bit-identical** — `tests/backend_equivalence.rs`
 //!   is the differential harness pinning that contract.
-//! * [`NativeSimd`] — the data-parallel path. The same lane bodies again,
-//!   but fresh integrand evaluations take the vectorized stencil gather
-//!   and the driver runs the whole particle pipeline (deposit, gather,
-//!   push) over an SoA scratch in 4-wide lane blocks. Control flow and
-//!   operation counts stay exactly equal to the other backends; produced
-//!   *values* differ from them by the documented fixed-order SIMD
-//!   reassociation — deterministic (bit-identical across pool widths and
-//!   runs) but held to a ≤4 ulp per-cell bound rather than bit identity.
-//!   See DESIGN.md §17 for the full contract.
+//! * [`NativeSimd`] — the vectorized-quadrature path. The same lane bodies
+//!   again, but fresh integrand evaluations take the 4-wide stencil gather.
+//!   Control flow and operation counts stay exactly equal to the other
+//!   backends; produced *values* differ from them by the documented
+//!   fixed-order SIMD reassociation — deterministic (bit-identical across
+//!   pool widths and runs) but held to a ≤4 ulp per-cell bound rather than
+//!   bit identity. See DESIGN.md §17 for the full contract.
+//!
+//! Backends cover the potentials stage only: deposit and gather/push are
+//! one particle path the driver runs identically under every backend.
 //!
 //! Selection is per-run: [`SimulationConfig::backend`]
 //! (crate::driver::SimulationConfig::backend) defaults from the
@@ -245,9 +246,7 @@ impl ComputeBackend for NativeFast {
 
 /// The SIMD backend: same lane bodies, vectorized fresh evaluations, no
 /// simulated device. Quadrature control flow is shared with [`NativeFast`]
-/// by construction; the SoA particle pipeline is selected by the driver
-/// from [`BackendKind::NativeSimd`] (the backend object only covers the
-/// two launch shapes).
+/// by construction.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NativeSimd;
 

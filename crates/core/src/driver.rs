@@ -31,13 +31,11 @@ use std::time::Duration;
 
 use beamdyn_obs as obs;
 
-use beamdyn_beam::forces::{gather_forces, gather_forces_simd, ScalarField};
-use beamdyn_beam::push::{drift, kick, push_step_simd};
+use beamdyn_beam::forces::ScalarField;
+use beamdyn_beam::push::gather_push;
 use beamdyn_beam::{Beam, RpConfig};
 use beamdyn_par::ThreadPool;
-use beamdyn_pic::{
-    deposit_cic, deposit_cic_simd, refill_samples, DepositSample, GridGeometry, GridHistory,
-};
+use beamdyn_pic::{deposit_cic_from, DepositSample, GridGeometry, GridHistory};
 use beamdyn_simt::{DeviceConfig, SimTime};
 
 use crate::backend::{build_backend, BackendKind, ComputeBackend};
@@ -256,32 +254,21 @@ impl SimCore {
         workspace: &mut StepWorkspace,
     ) -> StepTelemetry {
         let step_span = obs::span!("step");
+        // --- 1. Particle deposition ---
+        let deposit_span = obs::span!("deposit");
         // Track the bunch: the support cut follows the charge centroid, so
         // the integration horizons move with the beam.
         if !self.beam.is_empty() {
             self.config.rp.center = self.beam.centroid();
         }
-        // The SIMD backend runs the particle pipeline over the workspace's
-        // pooled SoA scratch: filled from the beam once here, pushed in
-        // place, written back after the drift.
-        let simd = self.backend.kind() == BackendKind::NativeSimd;
-        // --- 1. Particle deposition ---
-        let deposit_span = obs::span!("deposit");
         let mut grid = workspace.take_grid(self.config.geometry);
-        let samples = self.beam.particles.iter().map(|p| DepositSample {
-            x: p.x,
-            y: p.y,
-            weight: p.weight,
-            vx: p.vx,
-            vy: p.vy,
-        });
-        if simd {
-            workspace.particles.refill(samples);
-            deposit_cic_simd(pool, &mut grid, &workspace.particles);
-        } else {
-            refill_samples(&mut workspace.deposit_samples, samples);
-            deposit_cic(pool, &mut grid, &workspace.deposit_samples);
-        }
+        deposit_cic_from(
+            pool,
+            &mut grid,
+            &mut workspace.deposit_partials,
+            &self.beam.particles,
+            |p| DepositSample::from(p),
+        );
         if let Some(evicted) = self.history.push(self.step, grid) {
             workspace.recycle_grid(evicted);
         }
@@ -296,39 +283,19 @@ impl SimCore {
         let push_span = obs::span!("gather_push");
         let field = ScalarField::new(self.config.geometry, potentials.potentials());
         if !self.config.rigid {
-            if simd {
-                let ws = &mut *workspace;
-                gather_forces_simd(
-                    pool,
-                    &field,
-                    &ws.particles,
-                    &mut ws.gradient_x,
-                    &mut ws.gradient_y,
-                    &mut ws.forces_x,
-                    &mut ws.forces_y,
-                );
-                // Force scaling, kick, drift, and AoS write-back fused into
-                // one parallel pass (bit-identical to the scalar sequence).
-                push_step_simd(
-                    pool,
-                    &mut ws.particles,
-                    &ws.forces_x,
-                    &ws.forces_y,
-                    self.config.force_scale,
-                    self.config.rp.dt,
-                    &mut self.beam,
-                );
-            } else {
-                let mut forces = gather_forces(pool, &field, &self.beam);
-                for f in &mut forces {
-                    f.0 *= self.config.force_scale;
-                    f.1 *= self.config.force_scale;
-                }
-                // Leap-frog with velocities staggered by half a step: one
-                // kick, one drift per field solve.
-                kick(pool, &mut self.beam, &forces, self.config.rp.dt);
-                drift(pool, &mut self.beam, self.config.rp.dt);
-            }
+            let ws = &mut *workspace;
+            field.neg_gradient_into(&mut ws.gradient_x, &mut ws.gradient_y);
+            // Leap-frog with velocities staggered by half a step: one kick,
+            // one drift per field solve — fused with the force gather into
+            // one pass over the beam.
+            gather_push(
+                pool,
+                &mut self.beam,
+                &ws.gradient_x,
+                &ws.gradient_y,
+                self.config.force_scale,
+                self.config.rp.dt,
+            );
         }
         let push_time = STAGE_GATHER_PUSH_NS.observe_span(push_span);
         self.last_potentials = Some(field);

@@ -4,11 +4,12 @@
 //! adaptive computation into a precomputed, regular one — and that discipline
 //! has to extend to the *host* side of the step loop, or the marginal cost of
 //! a step is allocator churn rather than compute. [`StepWorkspace`] owns
-//! every buffer the potentials engine needs per step — the deposit-sample
-//! list, the flat CSR cell lists each SIMT lane borrows a slice of, the
-//! break/need accumulators, the fallback task list, the previous-partition
-//! store, and the recycled deposition grid — cleared and refilled in place,
-//! so after warm-up a step performs **no workspace heap growth**.
+//! every buffer the step needs — the per-chunk deposit grids, the flat CSR
+//! cell lists each SIMT lane borrows a slice of, the break/need
+//! accumulators, the fallback task list, the previous-partition store, the
+//! recycled deposition grid, and the force-gradient fields — cleared and
+//! refilled in place, so after warm-up a step performs **no workspace heap
+//! growth**.
 //!
 //! Reuse is observable: [`StepWorkspace::publish_gauges`] exports
 //! `workspace.bytes_resident` (total capacity held) and
@@ -22,7 +23,7 @@ use std::mem::size_of;
 
 use beamdyn_beam::forces::ScalarField;
 use beamdyn_obs as obs;
-use beamdyn_pic::{DepositSample, GridGeometry, MomentGrid, ParticleSoA};
+use beamdyn_pic::{GridGeometry, MomentGrid};
 use beamdyn_quad::{Partition, SimpsonSamples};
 
 use crate::kernels::threads::AdaptiveItem;
@@ -510,8 +511,9 @@ impl LaneScratchArena {
 /// reached the workload's high-water mark.
 #[derive(Debug, Default)]
 pub struct StepWorkspace {
-    /// Deposit-sample staging buffer (step 1), refilled from the beam.
-    pub(crate) deposit_samples: Vec<DepositSample>,
+    /// Per-chunk private grids of the deposit (step 1), one per
+    /// 4096-particle chunk, reset and reused every step.
+    pub(crate) deposit_partials: Vec<MomentGrid>,
     /// CSR lane assignments of the main (fixed-cells) pass.
     pub(crate) cells: CellLists,
     /// Fallback tasks gathered from the main pass (the paper's list `L`).
@@ -535,17 +537,9 @@ pub struct StepWorkspace {
     /// A moment grid evicted from the history ring, reset and reused as the
     /// next step's deposition target.
     recycled_grid: Option<MomentGrid>,
-    /// SoA particle scratch of the NativeSimd pipeline: filled from the
-    /// beam once per step, deposited/gathered/pushed column-wise, written
-    /// back after the drift. Pooled like every other buffer here.
-    pub(crate) particles: ParticleSoA,
-    /// Pooled per-particle force columns of the SIMD gather (x component).
-    pub(crate) forces_x: Vec<f64>,
-    /// Pooled per-particle force columns of the SIMD gather (y component).
-    pub(crate) forces_y: Vec<f64>,
-    /// Pooled negative-gradient field `−∂Φ/∂x` of the SIMD gather.
+    /// Negative-gradient field `−∂Φ/∂x` the fused gather/push samples.
     pub(crate) gradient_x: ScalarField,
-    /// Pooled negative-gradient field `−∂Φ/∂y` of the SIMD gather.
+    /// Negative-gradient field `−∂Φ/∂y` the fused gather/push samples.
     pub(crate) gradient_y: ScalarField,
     /// Bytes of buffer capacity at the previous publish.
     bytes_last: usize,
@@ -600,17 +594,16 @@ impl StepWorkspace {
         self.recycled_grid = Some(grid);
     }
 
-    /// Clears every cross-step *content* the workspace carries — staged
-    /// samples, CSR lists, task lists, accumulators, and crucially the
-    /// previous-partition store the Heuristic/Predictive kernels read —
-    /// while keeping all buffer capacity. A pooled workspace handed to a
-    /// new session therefore behaves exactly like a fresh one numerically
-    /// (capacities never feed the numerics; `take_grid` zeroes any kept
-    /// recycled grid) but re-allocates nothing, which is what lets a warm
+    /// Clears every cross-step *content* the workspace carries — CSR lists,
+    /// task lists, accumulators, and crucially the previous-partition store
+    /// the Heuristic/Predictive kernels read — while keeping all buffer
+    /// capacity. A pooled workspace handed to a new session therefore
+    /// behaves exactly like a fresh one numerically (capacities never feed
+    /// the numerics; `take_grid` and the deposit zero any kept grid) but
+    /// re-allocates nothing, which is what lets a warm
     /// [`WorkspacePool`](crate::session::WorkspacePool) hold
     /// `workspace.bytes_resident` flat across session churn.
     pub fn reset_for_session(&mut self) {
-        self.deposit_samples.clear();
         self.cells.clear();
         self.tasks.clear();
         self.spare_tasks.clear();
@@ -618,9 +611,6 @@ impl StepWorkspace {
         self.need.clear();
         self.need_width = 0;
         self.previous_partitions.clear();
-        self.particles.clear();
-        self.forces_x.clear();
-        self.forces_y.clear();
     }
 
     /// Total bytes of buffer capacity the workspace holds. Counts the
@@ -630,17 +620,19 @@ impl StepWorkspace {
     /// history ring, not allocated here) are not part of the reuse
     /// invariant.
     pub fn bytes_resident(&self) -> usize {
-        self.deposit_samples.capacity() * size_of::<DepositSample>()
-            + self.cells.bytes_capacity()
+        self.cells.bytes_capacity()
             + self.tasks.capacity() * size_of::<FallbackTask>()
             + self.spare_tasks.capacity() * size_of::<FallbackTask>()
             + self.break_edges.capacity() * size_of::<(u32, f64)>()
             + self.need.capacity() * size_of::<f64>()
             + self.previous_partitions.capacity() * size_of::<Option<Partition>>()
             + self.lane_scratch.bytes_capacity()
-            + self.particles.bytes_capacity()
-            + self.forces_x.capacity() * size_of::<f64>()
-            + self.forces_y.capacity() * size_of::<f64>()
+            + self.deposit_partials.capacity() * size_of::<MomentGrid>()
+            + self
+                .deposit_partials
+                .iter()
+                .map(MomentGrid::bytes_capacity)
+                .sum::<usize>()
             + self.gradient_x.bytes_capacity()
             + self.gradient_y.bytes_capacity()
     }

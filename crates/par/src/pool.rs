@@ -226,6 +226,27 @@ impl ThreadPool {
         }
     }
 
+    /// Runs `body(start, chunk)` over disjoint mutable chunks of `items` —
+    /// the chunks [`ThreadPool::parallel_for_chunks`] would hand out over
+    /// `0..items.len()`, with `start` the chunk's offset into `items`.
+    pub fn parallel_chunks_mut<T: Send>(
+        &self,
+        items: &mut [T],
+        min_chunk: usize,
+        body: impl Fn(usize, &mut [T]) + Sync,
+    ) {
+        let base = SendPtr(items.as_mut_ptr());
+        self.parallel_for_chunks(0..items.len(), min_chunk, |range| {
+            // SAFETY: `parallel_for_chunks` hands out disjoint sub-ranges of
+            // `0..items.len()`, each exactly once, and returns only after
+            // every chunk has finished — so no two live slices overlap and
+            // none outlives the `items` borrow.
+            let chunk =
+                unsafe { std::slice::from_raw_parts_mut(base.get().add(range.start), range.len()) };
+            body(range.start, chunk);
+        });
+    }
+
     /// Maps `f` over `items` in parallel, preserving order.
     pub fn parallel_map<T: Sync, U: Send>(
         &self,

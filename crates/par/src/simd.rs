@@ -1,9 +1,8 @@
 //! Portable SIMD lanes: a dependency-free `F64x4` the autovectorizer can
 //! lower to real vector instructions on stable Rust.
 //!
-//! The beam-dynamics hot loops (quadrature gathers, CIC deposit weights,
-//! drift/kick pushes) are short chains of elementwise f64 arithmetic over
-//! small fixed-width blocks. Rather than gating on nightly `std::simd` or
+//! The rp-quadrature stencil gathers are short chains of elementwise f64
+//! arithmetic over small fixed-width blocks (3-tap rows padded to 4). Rather than gating on nightly `std::simd` or
 //! an external crate, this module spells those blocks out as `[f64; 4]`
 //! arrays with per-lane loops — the exact shape LLVM's autovectorizer
 //! reliably turns into `addpd`/`mulpd` (SSE2 baseline) or wider AVX forms
@@ -18,15 +17,15 @@
 //! * **No runtime feature dispatch.** Every operation is the same portable
 //!   op sequence everywhere; vector width only changes *how many* lanes an
 //!   instruction covers, never the per-lane arithmetic.
-//! * **Fixed-order horizontal folds.** [`F64x4::hsum`] and
-//!   [`F64x4::hsum3`] reduce lanes in one documented order, so a reduction
-//!   is a deterministic function of its lane values — independent of pool
-//!   width, scheduling, and repetition.
+//! * **Fixed-order horizontal folds.** [`F64x4::hsum3`] reduces lanes in
+//!   one documented order, so a reduction is a deterministic function of
+//!   its lane values — independent of pool width, scheduling, and
+//!   repetition.
 
-use std::ops::{Add, Div, Mul, Sub};
+use std::ops::{Add, Mul};
 
-/// Lanes per vector block — the SIMD width every vectorized stage batches
-/// by, surfaced in `/status` as `simd_lane_width`.
+/// Lanes per vector block — the SIMD width the vectorized quadrature
+/// batches by, surfaced in `/status` as `simd_lane_width`.
 pub const LANE_WIDTH: usize = 4;
 
 /// Four f64 lanes computed in lockstep.
@@ -81,35 +80,6 @@ impl F64x4 {
         Self(out)
     }
 
-    /// Lane-wise choice: lane `l` of the result is `if_true[l]` where
-    /// `mask[l]`, else `if_false[l]`.
-    #[inline(always)]
-    pub fn select(mask: [bool; 4], if_true: Self, if_false: Self) -> Self {
-        let mut out = [0.0; 4];
-        for (l, o) in out.iter_mut().enumerate() {
-            *o = if mask[l] { if_true.0[l] } else { if_false.0[l] };
-        }
-        Self(out)
-    }
-
-    /// Lane-wise `f64::clamp(lo, hi)` — plain comparisons, no libm, so the
-    /// per-lane result is bit-identical to the scalar clamp.
-    #[inline(always)]
-    pub fn clamp(self, lo: f64, hi: f64) -> Self {
-        let mut out = [0.0; 4];
-        for (l, o) in out.iter_mut().enumerate() {
-            *o = self.0[l].clamp(lo, hi);
-        }
-        Self(out)
-    }
-
-    /// Horizontal sum of all four lanes in the fixed pairwise order
-    /// `(l0 + l1) + (l2 + l3)`.
-    #[inline(always)]
-    pub fn hsum(self) -> f64 {
-        (self.0[0] + self.0[1]) + (self.0[2] + self.0[3])
-    }
-
     /// Horizontal sum of the first three lanes in the fixed order
     /// `(l0 + l1) + l2` — the fold for 3-wide stencil rows carried in a
     /// 4-lane block whose last lane is padding.
@@ -131,18 +101,6 @@ impl Add for F64x4 {
     }
 }
 
-impl Sub for F64x4 {
-    type Output = Self;
-    #[inline(always)]
-    fn sub(self, rhs: Self) -> Self {
-        let mut out = [0.0; 4];
-        for (l, o) in out.iter_mut().enumerate() {
-            *o = self.0[l] - rhs.0[l];
-        }
-        Self(out)
-    }
-}
-
 impl Mul for F64x4 {
     type Output = Self;
     #[inline(always)]
@@ -150,18 +108,6 @@ impl Mul for F64x4 {
         let mut out = [0.0; 4];
         for (l, o) in out.iter_mut().enumerate() {
             *o = self.0[l] * rhs.0[l];
-        }
-        Self(out)
-    }
-}
-
-impl Div for F64x4 {
-    type Output = Self;
-    #[inline(always)]
-    fn div(self, rhs: Self) -> Self {
-        let mut out = [0.0; 4];
-        for (l, o) in out.iter_mut().enumerate() {
-            *o = self.0[l] / rhs.0[l];
         }
         Self(out)
     }
@@ -176,17 +122,7 @@ mod tests {
         let a = F64x4::new(1.5, -2.0, 0.25, 1e300);
         let b = F64x4::new(3.0, 0.5, -4.0, 1e-300);
         assert_eq!((a + b).to_array(), [4.5, -1.5, -3.75, 1e300]);
-        assert_eq!((a - b).to_array(), [-1.5, -2.5, 4.25, 1e300]);
         assert_eq!((a * b).to_array(), [4.5, -1.0, -1.0, 1.0]);
-        assert_eq!(
-            (a / b).to_array(),
-            [1.5 / 3.0, -2.0 / 0.5, 0.25 / -4.0, 1e300 / 1e-300]
-        );
-        assert_eq!(
-            a.clamp(-1.0, 1.0).to_array(),
-            [1.0, -1.0, 0.25, 1.0],
-            "clamp is lane-wise f64::clamp"
-        );
     }
 
     #[test]
@@ -202,20 +138,16 @@ mod tests {
     }
 
     #[test]
-    fn hsum_orders_are_fixed() {
+    fn hsum3_order_is_fixed() {
         let v = F64x4::new(1e16, 1.0, -1e16, 1.0);
-        // (1e16 + 1) + (-1e16 + 1) = 1e16 + (-1e16 + 1) = 1 under the
-        // documented pairwise order (1e16 + 1 rounds back to 1e16).
-        assert_eq!(v.hsum(), ((1e16 + 1.0) + (-1e16 + 1.0)));
+        // (1e16 + 1) rounds back to 1e16, so the documented order gives 0
+        // where l0 + (l1 + l2) would give 1; lane 3 is never read.
         assert_eq!(v.hsum3(), (1e16 + 1.0) + -1e16);
     }
 
     #[test]
-    fn load_and_select() {
+    fn load_reads_four_consecutive_values() {
         let data = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0];
-        let v = F64x4::load(&data, 2);
-        assert_eq!(v.to_array(), [2.0, 3.0, 4.0, 5.0]);
-        let picked = F64x4::select([true, false, true, false], v, F64x4::ZERO);
-        assert_eq!(picked.to_array(), [2.0, 0.0, 4.0, 0.0]);
+        assert_eq!(F64x4::load(&data, 2).to_array(), [2.0, 3.0, 4.0, 5.0]);
     }
 }

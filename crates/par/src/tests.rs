@@ -333,3 +333,18 @@ fn pool_drop_joins_workers() {
     drop(pool); // must not hang
     assert_eq!(sum.load(Ordering::Relaxed), 8128);
 }
+
+#[test]
+fn parallel_chunks_mut_visits_every_slot_once_with_its_offset() {
+    for threads in [0usize, 1, 3] {
+        let pool = ThreadPool::new(threads);
+        let mut items = vec![0usize; 10_007];
+        pool.parallel_chunks_mut(&mut items, 64, |start, chunk| {
+            for (i, slot) in (start..).zip(chunk) {
+                *slot += i + 1;
+            }
+        });
+        assert!(items.iter().enumerate().all(|(i, &v)| v == i + 1));
+        pool.parallel_chunks_mut(&mut [] as &mut [u8], 1, |_, _| panic!("empty slice"));
+    }
+}

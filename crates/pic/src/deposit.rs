@@ -1,10 +1,11 @@
 //! Cloud-in-cell (CIC) deposition of sampled particles onto a moment grid.
 
-use beamdyn_par::simd::F64x4;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use beamdyn_par::ThreadPool;
 
-use crate::grid::{GridGeometry, MomentGrid, MOMENT_CHARGE, MOMENT_JX, MOMENT_JY};
-use crate::soa::ParticleSoA;
+use crate::cic::CicStencil;
+use crate::grid::MomentGrid;
 
 /// One macro-particle's contribution to the deposition step.
 #[derive(Debug, Clone, Copy)]
@@ -21,16 +22,10 @@ pub struct DepositSample {
     pub vy: f64,
 }
 
-/// Clears `buf` and refills it from `samples`, reusing the buffer's existing
-/// capacity — the steady-state way to rebuild the per-step sample list from a
-/// particle set without a fresh allocation every step.
-pub fn refill_samples<I>(buf: &mut Vec<DepositSample>, samples: I)
-where
-    I: IntoIterator<Item = DepositSample>,
-{
-    buf.clear();
-    buf.extend(samples);
-}
+/// Particles per deposit chunk. A fixed constant — NOT derived from the
+/// pool width — so the floating-point accumulation order, and therefore
+/// the deposited grid, is bit-identical for every thread count.
+pub const DEPOSIT_CHUNK: usize = 4096;
 
 /// Deposits `samples` onto `grid` with first-order (bilinear / cloud-in-cell)
 /// weighting, in parallel, producing **densities**: each weight is spread
@@ -40,199 +35,79 @@ where
 ///
 /// Particles outside the grid rectangle are dropped (counted in the return
 /// value), matching the usual PIC convention for escaping particles. Each
-/// chunk deposits into a private grid; privates are then accumulated in
-/// chunk order. The chunk size is a fixed constant — NOT derived from the
-/// pool width — so the floating-point accumulation order, and therefore
-/// the result, is bit-identical for every thread count
-/// (tests/determinism.rs).
+/// [`DEPOSIT_CHUNK`]-particle chunk deposits into a private grid; privates
+/// are then accumulated in chunk order, so the result is independent of
+/// the pool width (tests/determinism.rs).
 ///
 /// Returns the number of samples that fell outside the grid.
 pub fn deposit_cic(pool: &ThreadPool, grid: &mut MomentGrid, samples: &[DepositSample]) -> usize {
-    let geometry = grid.geometry();
-    const CHUNK: usize = 4096;
-    let chunks: Vec<&[DepositSample]> = samples.chunks(CHUNK).collect();
-
-    let partials: Vec<(MomentGrid, usize)> = pool.parallel_map(&chunks, |part| {
-        let mut local = MomentGrid::zeros(geometry);
-        let mut dropped = 0usize;
-        for s in *part {
-            if !deposit_one(&mut local, s) {
-                dropped += 1;
-            }
-        }
-        (local, dropped)
-    });
-
-    let mut dropped = 0;
-    for (partial, d) in &partials {
-        grid.accumulate(partial);
-        dropped += d;
-    }
-    dropped
+    deposit_cic_from(pool, grid, &mut Vec::new(), samples, |s| *s)
 }
 
-/// SIMD twin of [`deposit_cic`] over a structure-of-arrays particle
-/// scratch: the CIC weight arithmetic (fractional coordinates, bilinear
-/// weights, moment charges) runs over 4-wide lane blocks, then each
-/// particle's 2×2 patch is scattered sequentially in particle order.
-///
-/// **Bit-identical to the scalar path by construction.** Every per-lane
-/// operation is the same portable f64 op the scalar [`deposit_cic`]
-/// performs, in the same order (the hoisted `dx`/`dy`/`inv_area` are the
-/// same values the scalar path recomputes per particle, and no division is
-/// replaced by a reciprocal multiply); the scatter and the fixed 4096-chunk
-/// accumulation preserve the scalar ordering exactly. Only the *schedule*
-/// is vectorized — there are no cross-lane reductions — so the resulting
-/// grid matches `deposit_cic` on the same particles bit for bit, at any
-/// pool width (tests/determinism.rs pins this).
+/// [`deposit_cic`] straight from any particle slice, with pooled chunk
+/// grids: `sample` projects a particle onto its deposit fields (inlined —
+/// no staging copy of the particles is made), and `partials` holds the
+/// per-chunk private grids across calls, so a steady-state step allocates
+/// nothing. Same chunking, same per-particle ops, same accumulation order
+/// as [`deposit_cic`], hence the same bits.
 ///
 /// Returns the number of particles that fell outside the grid.
-pub fn deposit_cic_simd(
+pub fn deposit_cic_from<T: Sync>(
     pool: &ThreadPool,
     grid: &mut MomentGrid,
-    particles: &ParticleSoA,
+    partials: &mut Vec<MomentGrid>,
+    particles: &[T],
+    sample: impl Fn(&T) -> DepositSample + Sync,
 ) -> usize {
     let geometry = grid.geometry();
-    const CHUNK: usize = 4096;
-    let n = particles.len();
-    let bounds: Vec<(usize, usize)> = (0..n.div_ceil(CHUNK))
-        .map(|c| (c * CHUNK, ((c + 1) * CHUNK).min(n)))
-        .collect();
-
-    let partials: Vec<(MomentGrid, usize)> = pool.parallel_map(&bounds, |&(start, end)| {
-        let mut local = MomentGrid::zeros(geometry);
-        let mut dropped = 0usize;
-        let mut i = start;
-        while i + 4 <= end {
-            dropped += deposit_block4(&mut local, particles, i);
-            i += 4;
-        }
-        for j in i..end {
-            if !deposit_one(&mut local, &particles.sample(j)) {
-                dropped += 1;
+    let stencil = CicStencil::new(geometry);
+    let chunks = particles.len().div_ceil(DEPOSIT_CHUNK);
+    if partials.len() < chunks {
+        partials.resize_with(chunks, || MomentGrid::zeros(geometry));
+    }
+    let dropped = AtomicUsize::new(0);
+    pool.parallel_chunks_mut(&mut partials[..chunks], 1, |first, locals| {
+        for (c, local) in (first..).zip(locals) {
+            local.reset_for(geometry);
+            let end = ((c + 1) * DEPOSIT_CHUNK).min(particles.len());
+            let mut missed = 0;
+            for p in &particles[c * DEPOSIT_CHUNK..end] {
+                if !deposit_one(local, &stencil, &sample(p)) {
+                    missed += 1;
+                }
             }
+            dropped.fetch_add(missed, Ordering::Relaxed);
         }
-        (local, dropped)
     });
-
-    let mut dropped = 0;
-    for (partial, d) in &partials {
+    for partial in &partials[..chunks] {
         grid.accumulate(partial);
-        dropped += d;
     }
-    dropped
-}
-
-/// Deposits particles `i..i + 4` with the weight arithmetic vectorized;
-/// returns how many of the four were dropped (outside the grid or
-/// non-finite). Per-lane ops mirror [`deposit_one`] exactly.
-#[inline]
-fn deposit_block4(grid: &mut MomentGrid, p: &ParticleSoA, i: usize) -> usize {
-    let g: GridGeometry = grid.geometry();
-    let xv = F64x4::load(&p.x, i);
-    let yv = F64x4::load(&p.y, i);
-
-    // `fractional` with dx()/dy() hoisted: same dividend, same divisor
-    // value, same op — identical bits to the scalar per-particle calls.
-    let (dx, dy) = (g.dx(), g.dy());
-    let half = F64x4::splat(0.5);
-    let fxv = (xv - F64x4::splat(g.x_min)) / F64x4::splat(dx) - half;
-    let fyv = (yv - F64x4::splat(g.y_min)) / F64x4::splat(dy) - half;
-
-    // Integer lattice work stays per-lane scalar (floor/clamp/casts).
-    let mut ix0 = [0usize; 4];
-    let mut iy0 = [0usize; 4];
-    let mut valid = [false; 4];
-    let (fxa, fya) = (fxv.to_array(), fyv.to_array());
-    let (xa, ya) = (xv.to_array(), yv.to_array());
-    for l in 0..4 {
-        valid[l] = g.contains(xa[l], ya[l]) && xa[l].is_finite() && ya[l].is_finite();
-        ix0[l] = (fxa[l].floor() as isize).clamp(0, g.nx as isize - 2) as usize;
-        iy0[l] = (fya[l].floor() as isize).clamp(0, g.ny as isize - 2) as usize;
-    }
-
-    let txv = (fxv - F64x4::new(ix0[0] as f64, ix0[1] as f64, ix0[2] as f64, ix0[3] as f64))
-        .clamp(0.0, 1.0);
-    let tyv = (fyv - F64x4::new(iy0[0] as f64, iy0[1] as f64, iy0[2] as f64, iy0[3] as f64))
-        .clamp(0.0, 1.0);
-
-    let one = F64x4::splat(1.0);
-    let (sxv, syv) = (one - txv, one - tyv);
-    let wv = [sxv * syv, txv * syv, sxv * tyv, txv * tyv];
-
-    // q = (weight · wᵢ) · inv_area, then q·vx / q·vy — the scalar op order.
-    let inv_area = F64x4::splat(1.0 / (dx * dy));
-    let weightv = F64x4::load(&p.weight, i);
-    let (vxv, vyv) = (F64x4::load(&p.vx, i), F64x4::load(&p.vy, i));
-    let mut q = [[0.0f64; 4]; 4];
-    let mut qjx = [[0.0f64; 4]; 4];
-    let mut qjy = [[0.0f64; 4]; 4];
-    for (c, w) in wv.iter().enumerate() {
-        let qv = weightv * *w * inv_area;
-        q[c] = qv.to_array();
-        qjx[c] = (qv * vxv).to_array();
-        qjy[c] = (qv * vyv).to_array();
-    }
-
-    // Scatter sequentially in particle order — the accumulation order (and
-    // therefore every produced bit) matches the scalar loop. The patch
-    // indices are proven in bounds by the clamps above, so the adds go
-    // through the raw plane without per-add bounds checks.
-    let stride = g.len();
-    let nx = g.nx;
-    let data = grid.data_mut();
-    let mut dropped = 0usize;
-    for l in 0..4 {
-        if !valid[l] {
-            dropped += 1;
-            continue;
-        }
-        let base = iy0[l] * nx + ix0[l];
-        for (c, off) in [0, 1, nx, nx + 1].into_iter().enumerate() {
-            // SAFETY: ix0 ≤ nx−2 and iy0 ≤ ny−2 (clamped above), so every
-            // patch cell index is < nx·ny and each plane offset < 3·nx·ny.
-            unsafe {
-                *data.get_unchecked_mut(MOMENT_CHARGE * stride + base + off) += q[c][l];
-                *data.get_unchecked_mut(MOMENT_JX * stride + base + off) += qjx[c][l];
-                *data.get_unchecked_mut(MOMENT_JY * stride + base + off) += qjy[c][l];
-            }
-        }
-    }
-    dropped
+    dropped.into_inner()
 }
 
 /// Deposits a single sample; returns `false` if it lies outside the grid.
-fn deposit_one(grid: &mut MomentGrid, s: &DepositSample) -> bool {
-    let geometry = grid.geometry();
-    if !geometry.contains(s.x, s.y) || !s.x.is_finite() || !s.y.is_finite() {
+#[inline]
+fn deposit_one(grid: &mut MomentGrid, stencil: &CicStencil, s: &DepositSample) -> bool {
+    let g = stencil.geometry;
+    if !g.contains(s.x, s.y) || !s.x.is_finite() || !s.y.is_finite() {
         return false;
     }
-    let (fx, fy) = geometry.fractional(s.x, s.y);
-    // Lower cell of the 2x2 CIC patch, clamped so border particles deposit
-    // fully onto the edge cells (weights still sum to 1).
-    let ix0 = (fx.floor() as isize).clamp(0, geometry.nx as isize - 2) as usize;
-    let iy0 = (fy.floor() as isize).clamp(0, geometry.ny as isize - 2) as usize;
-    let tx = (fx - ix0 as f64).clamp(0.0, 1.0);
-    let ty = (fy - iy0 as f64).clamp(0.0, 1.0);
-
-    let w = [
-        (1.0 - tx) * (1.0 - ty),
-        tx * (1.0 - ty),
-        (1.0 - tx) * ty,
-        tx * ty,
-    ];
-    let inv_area = 1.0 / (geometry.dx() * geometry.dy());
-    let cells = [
-        (ix0, iy0),
-        (ix0 + 1, iy0),
-        (ix0, iy0 + 1),
-        (ix0 + 1, iy0 + 1),
-    ];
-    for (&(ix, iy), &wi) in cells.iter().zip(&w) {
-        let q = s.weight * wi * inv_area;
-        grid.add(MOMENT_CHARGE, ix, iy, q);
-        grid.add(MOMENT_JX, ix, iy, q * s.vx);
-        grid.add(MOMENT_JY, ix, iy, q * s.vy);
+    // The patch is clamped so border particles deposit fully onto the edge
+    // cells (weights still sum to 1).
+    let patch = stencil.patch(s.x, s.y);
+    let nx = g.nx;
+    let [charge, jx, jy] = grid.planes_mut();
+    let span = patch.base..patch.base + nx + 2;
+    let (charge, jx, jy) = (
+        &mut charge[span.clone()],
+        &mut jx[span.clone()],
+        &mut jy[span],
+    );
+    for (off, wi) in [0, 1, nx, nx + 1].into_iter().zip(patch.w) {
+        let q = s.weight * wi * stencil.inv_area;
+        charge[off] += q;
+        jx[off] += q * s.vx;
+        jy[off] += q * s.vy;
     }
     true
 }

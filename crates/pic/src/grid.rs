@@ -130,6 +130,19 @@ impl MomentGrid {
         self.data.fill(0.0);
     }
 
+    /// Reshapes the grid for `geometry` and zeroes it, keeping the storage
+    /// allocation when it is large enough — the pooled-scratch primitive.
+    pub fn reset_for(&mut self, geometry: GridGeometry) {
+        self.geometry = geometry;
+        self.data.clear();
+        self.data.resize(geometry.len() * N_MOMENTS, 0.0);
+    }
+
+    /// Heap bytes held by the moment storage (capacity, not length).
+    pub fn bytes_capacity(&self) -> usize {
+        self.data.capacity() * std::mem::size_of::<f64>()
+    }
+
     /// Flat storage index of `(component, ix, iy)`.
     #[inline]
     pub fn index(&self, component: usize, ix: usize, iy: usize) -> usize {
@@ -158,26 +171,20 @@ impl MomentGrid {
         self.data[idx] += value;
     }
 
-    /// Clamped read: coordinates outside the grid are clamped to the border,
-    /// which is the usual PIC treatment of near-edge stencil taps.
-    #[inline]
-    pub fn get_clamped(&self, component: usize, ix: isize, iy: isize) -> f64 {
-        let ix = ix.clamp(0, self.geometry.nx as isize - 1) as usize;
-        let iy = iy.clamp(0, self.geometry.ny as isize - 1) as usize;
-        self.get(component, ix, iy)
-    }
-
     /// Raw planar storage (read-only).
     pub fn as_slice(&self) -> &[f64] {
         &self.data
     }
 
-    /// Raw planar storage, mutable — the deposition hot path's direct
-    /// scatter target (`component · len() + iy · nx + ix` indexing, the
-    /// same layout [`MomentGrid::index`] computes).
+    /// The three component planes, mutable, indexed `iy · nx + ix` — the
+    /// deposition hot path's direct scatter targets.
     #[inline]
-    pub(crate) fn data_mut(&mut self) -> &mut [f64] {
-        &mut self.data
+    pub(crate) fn planes_mut(&mut self) -> [&mut [f64]; N_MOMENTS] {
+        const _: () = assert!(MOMENT_CHARGE == 0 && MOMENT_JX == 1 && MOMENT_JY == 2);
+        let n = self.geometry.len();
+        let (charge, currents) = self.data.split_at_mut(n);
+        let (jx, jy) = currents.split_at_mut(n);
+        [charge, jx, &mut jy[..n]]
     }
 
     /// One component as a contiguous row-major slice.

@@ -1,23 +1,15 @@
 //! Gather interpolation: bilinear force gather and the 27-point space-time
 //! stencil used to approximate the rp-integrand `f⁽ᵖ⁾(r', θ', t')`.
 
+use crate::cic::CicStencil;
 use crate::grid::MomentGrid;
 use crate::history::GridHistory;
 
 /// Bilinear (CIC-conjugate) gather of one moment component at a physical
 /// point. Points outside the rectangle are clamped to the border.
 pub fn bilinear_gather(grid: &MomentGrid, component: usize, x: f64, y: f64) -> f64 {
-    let geometry = grid.geometry();
-    let (fx, fy) = geometry.fractional(x, y);
-    let ix0 = (fx.floor() as isize).clamp(0, geometry.nx as isize - 2);
-    let iy0 = (fy.floor() as isize).clamp(0, geometry.ny as isize - 2);
-    let tx = (fx - ix0 as f64).clamp(0.0, 1.0);
-    let ty = (fy - iy0 as f64).clamp(0.0, 1.0);
-    let v00 = grid.get_clamped(component, ix0, iy0);
-    let v10 = grid.get_clamped(component, ix0 + 1, iy0);
-    let v01 = grid.get_clamped(component, ix0, iy0 + 1);
-    let v11 = grid.get_clamped(component, ix0 + 1, iy0 + 1);
-    (1.0 - tx) * (1.0 - ty) * v00 + tx * (1.0 - ty) * v10 + (1.0 - tx) * ty * v01 + tx * ty * v11
+    let stencil = CicStencil::new(grid.geometry());
+    stencil.sample(grid.component(component), &stencil.patch(x, y))
 }
 
 /// One tap of the 27-point stencil: a grid cell at a relative time level with

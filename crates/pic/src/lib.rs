@@ -7,17 +7,17 @@
 //! multi-component **moment grid** `D_k` (charge density plus the two current
 //! densities). The history of these grids is what the `rp-integral` reads.
 
+mod cic;
 mod deposit;
 mod grid;
 mod history;
 mod interp;
-mod soa;
 
-pub use deposit::{deposit_cic, deposit_cic_simd, refill_samples, DepositSample};
+pub use cic::{CicPatch, CicStencil};
+pub use deposit::{deposit_cic, deposit_cic_from, DepositSample, DEPOSIT_CHUNK};
 pub use grid::{GridGeometry, MomentGrid, MOMENT_CHARGE, MOMENT_JX, MOMENT_JY, N_MOMENTS};
 pub use history::GridHistory;
 pub use interp::{bilinear_gather, Stencil27, StencilResolver, StencilTap, StencilWindow};
-pub use soa::ParticleSoA;
 
 #[cfg(test)]
 mod tests;

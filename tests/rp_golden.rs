@@ -321,9 +321,8 @@ fn kernel_golden_corpus_variants_match_on_both_backends() {
 /// `BackendKind::NativeSimd`. The vectorized quadrature reassociates the
 /// stencil fold, so these pin their *own* bit patterns — within 1 ulp of
 /// [`KERNEL_GOLDEN`] on this corpus, but a distinct deterministic contract.
-/// The SoA deposit/gather/push stages are bit-identical to scalar by
-/// construction, so on this rigid lattice the divergence is purely the
-/// quadrature gather. All three kernels agree on every step, as in the
+/// Deposit and gather/push are the same code on every backend, so on this
+/// rigid lattice the divergence is purely the quadrature gather. All three kernels agree on every step, as in the
 /// scalar corpus.
 const KERNEL_GOLDEN_SIMD: &[(usize, u64, u64)] = &[
     (0, 0x404a71cc403aa0f9, 0x3ee89950b18738bf),
